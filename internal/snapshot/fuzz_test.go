@@ -3,9 +3,11 @@ package snapshot
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"stinspector/internal/pm"
 	"stinspector/internal/synth/profiles"
+	"stinspector/internal/trace"
 )
 
 // FuzzSnapshotDecode drives Decode with mutated snapshot files: seeds
@@ -35,6 +37,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("STS1"))
+	// A version 3 snapshot whose stats spans hit the sweep's edge
+	// cases: zero-duration events, equal-start ties, touching ends.
+	edge := Encode(foldRange(edgeSpanLog(), m, 0, 2))
+	if _, err := Decode(edge, m); err != nil {
+		f.Fatalf("edge-span seed does not decode: %v", err)
+	}
+	f.Add(edge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data, m)
@@ -52,4 +61,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatal("re-encode is not a fixed point")
 		}
 	})
+}
+
+// edgeSpanLog is a two-case log whose read and write events have
+// zero durations, shared start times and intervals that touch end to
+// start.
+func edgeSpanLog() *trace.EventLog {
+	ev := func(call string, start, dur int) trace.Event {
+		return trace.Event{Call: call, FP: "/d/f", Start: time.Duration(start), Dur: time.Duration(dur), Size: 8}
+	}
+	return trace.MustNewEventLog(
+		trace.NewCase(trace.CaseID{CID: "e", Host: "h", RID: 1}, []trace.Event{
+			ev("read", 0, 0), ev("read", 0, 5), ev("write", 5, 5), ev("write", 10, 0),
+		}),
+		trace.NewCase(trace.CaseID{CID: "e", Host: "h", RID: 2}, []trace.Event{
+			ev("read", 0, 5), ev("read", 5, 0), ev("write", 5, 5), ev("write", 5, 0),
+		}),
+	)
 }

@@ -1,7 +1,7 @@
 // Package snapshot defines STS, the durable single-file form of one
 // analysis fold's pre-Finalize state: the activity-log, the DFG, the
-// statistics computer (128-bit rate sums and max-concurrency interval
-// sets included), the behavior profile and the set of CaseIDs already
+// statistics computer (128-bit rate sums and max-concurrency span sets
+// included), the behavior profile and the set of CaseIDs already
 // folded. It is the
 // persistence layer the checkpoint/resume engine and the multi-process
 // merge (`stinspect -merge-snapshots`) stand on: because every
@@ -23,7 +23,9 @@
 // resumption is not supported; re-fold instead. Within a version the
 // section set is fixed (meta, seen, log, dfg, stats, behavior — each
 // exactly once) and unknown section kinds are corruption, not
-// extensions. Version 2 added the behavior-profile section.
+// extensions. Version 2 added the behavior-profile section; version 3
+// shrank the stats section's max-concurrency intervals to (start,
+// length) pairs without case identities.
 //
 // Symbol handling: every payload serializes its strings as a per-file
 // intern dictionary in first-use order; on load the dictionary is
@@ -49,13 +51,13 @@ import (
 const (
 	magic       = "STS1"
 	footerMagic = "1STS"
-	version     = 2
+	version     = 3
 )
 
 // footerSize is the fixed tail: index offset, index CRC, magic.
 const footerSize = 8 + 4 + 4
 
-// Section kinds of version 2. All six must appear exactly once.
+// Section kinds of version 3. All six must appear exactly once.
 const (
 	kindMeta     = 1 // cases, events counters
 	kindSeen     = 2 // folded CaseID set

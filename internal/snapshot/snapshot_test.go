@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stinspector/internal/behavior"
@@ -125,6 +126,24 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 	if _, err := Decode([]byte("not a snapshot at all, definitely"), m); !errors.As(err, &ce) {
 		t.Errorf("garbage: err = %v, want CorruptError", err)
+	}
+}
+
+// A snapshot written by the version 2 encoder (testdata/v2.sts, whose
+// stats section still carries case identities per interval) is refused
+// by version: a reader accepts only its own version, and the caller
+// re-folds.
+func TestSnapshotRejectsV2(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v2.sts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:4]) != magic || data[4] != 2 {
+		t.Fatalf("fixture header % x is not an STS v2 header", data[:8])
+	}
+	var ce *wire.CorruptError
+	if _, err := Decode(data, pm.CallTopDirs{Depth: 2}); !errors.As(err, &ce) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("v2 snapshot: err = %v, want CorruptError with unsupported version 2", err)
 	}
 }
 

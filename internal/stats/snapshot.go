@@ -7,7 +7,6 @@ import (
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
 	"stinspector/internal/snapshot/wire"
-	"stinspector/internal/trace"
 )
 
 // Symbols returns the number of distinct activity symbols in the
@@ -22,17 +21,15 @@ func (c *Computer) Symbols() int { return c.sm.Acts().Len() }
 // decoding reproduces the exact symbol assignment, shared-table
 // residents like the virtual endpoints included), the integral
 // aggregates — among them the 128-bit rate sums — and every
-// max-concurrency interval. Case identities in the interval sets go
-// through a per-snapshot intern dictionary like every other string.
+// max-concurrency span as its start and length.
 //
 // Layout (wrapped in a checksummed section by internal/snapshot):
 //
 //	acts:     n | string*                      (symbol i = entry i)
-//	caseDict: n | string*
 //	totalDur: varint
 //	accs:     n | (sym events totalDur bytes hasBytes
 //	               rateHi rateLo rateCount
-//	               nIntervals (start end cidSym hostSym rid)*)*
+//	               nSpans (start end-start)*)*
 //
 // Only accumulators with events > 0 are written (the "events==0 ⇒
 // absent" invariant), so trailing empty slots never change the bytes.
@@ -42,21 +39,6 @@ func (c *Computer) EncodeSnapshot() []byte {
 	b.Uvarint(uint64(acts.Len()))
 	for i := 0; i < acts.Len(); i++ {
 		b.Str(acts.Str(intern.Sym(i)))
-	}
-
-	caseDict := intern.NewLocal()
-	for y := range c.accs {
-		if c.accs[y].events == 0 {
-			continue
-		}
-		for _, iv := range c.accs[y].intervals {
-			caseDict.Intern(iv.Case.CID)
-			caseDict.Intern(iv.Case.Host)
-		}
-	}
-	b.Uvarint(uint64(caseDict.Len()))
-	for i := 0; i < caseDict.Len(); i++ {
-		b.Str(caseDict.Str(intern.Sym(i)))
 	}
 
 	b.Varint(int64(c.totalDur))
@@ -81,14 +63,9 @@ func (c *Computer) EncodeSnapshot() []byte {
 		b.U64(ac.rate.lo)
 		b.Uvarint(uint64(ac.rateCount))
 		b.Uvarint(uint64(len(ac.intervals)))
-		for _, iv := range ac.intervals {
-			b.Varint(int64(iv.Start))
-			b.Varint(int64(iv.End))
-			cy, _ := caseDict.Sym(iv.Case.CID)
-			hy, _ := caseDict.Sym(iv.Case.Host)
-			b.Uvarint(uint64(cy))
-			b.Uvarint(uint64(hy))
-			b.Varint(int64(iv.Case.RID))
+		for _, sp := range ac.intervals {
+			b.Varint(int64(sp.start))
+			b.Varint(int64(sp.end - sp.start))
 		}
 	}
 	return b.Bytes()
@@ -119,32 +96,6 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 			return nil, wire.Corruptf("duplicate activity %q", s)
 		}
 	}
-	nCase, err := c.Count(1)
-	if err != nil {
-		return nil, err
-	}
-	caseDict := intern.NewLocal()
-	for i := 0; i < nCase; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		caseDict.Intern(s)
-		if caseDict.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate case string %q", s)
-		}
-	}
-	caseSym := func() (string, error) {
-		y, err := c.Uvarint()
-		if err != nil {
-			return "", err
-		}
-		if y >= uint64(nCase) {
-			return "", wire.Corruptf("case dictionary id %d out of range (%d strings)", y, nCase)
-		}
-		return caseDict.Str(intern.Sym(y)), nil
-	}
-
 	out := &Computer{sm: sm, accs: make([]accum, nActs)}
 	td, err := c.Varint()
 	if err != nil {
@@ -200,34 +151,21 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 			return nil, wire.Corruptf("rate count %d overflows int64", rc)
 		}
 		ac.rateCount = int64(rc)
-		ni, err := c.Count(5)
+		ni, err := c.Count(2)
 		if err != nil {
 			return nil, err
 		}
-		ac.intervals = make([]trace.Interval, ni)
+		ac.intervals = make([]span, ni)
 		for j := range ac.intervals {
-			iv := &ac.intervals[j]
 			s, err := c.Varint()
 			if err != nil {
 				return nil, err
 			}
-			iv.Start = time.Duration(s)
-			e, err := c.Varint()
+			n, err := c.Varint()
 			if err != nil {
 				return nil, err
 			}
-			iv.End = time.Duration(e)
-			if iv.Case.CID, err = caseSym(); err != nil {
-				return nil, err
-			}
-			if iv.Case.Host, err = caseSym(); err != nil {
-				return nil, err
-			}
-			rid, err := c.Varint()
-			if err != nil {
-				return nil, err
-			}
-			iv.Case.RID = int(rid)
+			ac.intervals[j] = span{time.Duration(s), time.Duration(s + n)}
 		}
 	}
 	if err := c.Done(); err != nil {

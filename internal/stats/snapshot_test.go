@@ -3,7 +3,10 @@ package stats
 import (
 	"bytes"
 	"errors"
+	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"stinspector/internal/pm"
 	"stinspector/internal/snapshot/wire"
@@ -80,8 +83,8 @@ func TestComputerSnapshotEmpty(t *testing.T) {
 	}
 }
 
-// Hostile input fails with CorruptError — truncations, out-of-range
-// symbols, explicit empty accumulators — never a panic.
+// Hostile input fails with CorruptError — truncations, explicit empty
+// accumulators, span counts the input cannot hold — never a panic.
 func TestComputerSnapshotCorrupt(t *testing.T) {
 	el := synth.Log("snap", 6, 20, 3)
 	m := pm.CallTopDirs{Depth: 2}
@@ -97,22 +100,76 @@ func TestComputerSnapshotCorrupt(t *testing.T) {
 	}
 	var ce *wire.CorruptError
 	// An accumulator claiming events == 0 breaks the absence invariant.
+	b := statsSection(0, nil)
+	if _, err := DecodeComputerSnapshot(b, m); !errors.As(err, &ce) || !strings.Contains(err.Error(), "empty accumulator") {
+		t.Fatalf("empty accumulator: err = %v, want CorruptError naming it", err)
+	}
+	// A span count above what the remaining bytes can hold at two bytes
+	// per span is rejected before anything is allocated for it.
+	b = statsSection(1, nil)
+	b = append(b[:len(b)-1], 2) // claim 2 spans
+	b = append(b, 0, 0, 0)      // 3 bytes: room for one span only
+	if _, err := DecodeComputerSnapshot(b, m); !errors.As(err, &ce) || !strings.Contains(err.Error(), "count 2 impossible") {
+		t.Fatalf("oversized span count: err = %v, want CorruptError rejecting the count", err)
+	}
+}
+
+// statsSection hand-builds a stats section in the version 3 layout:
+// one activity "act" whose accumulator has the given event count and
+// spans, each written as start and length.
+func statsSection(events int, spans [][2]int64) []byte {
 	var b wire.Buf
 	b.Uvarint(1)
 	b.Str("act")
-	b.Uvarint(0)  // no case strings
-	b.Varint(0)   // totalDur
-	b.Uvarint(1)  // one accumulator
-	b.Uvarint(0)  // sym
-	b.Uvarint(0)  // events == 0
-	b.Varint(0)   // totalDur
-	b.Varint(0)   // bytes
-	b.Bool(false) // hasBytes
-	b.U64(0)      // rate.hi
-	b.U64(0)      // rate.lo
-	b.Uvarint(0)  // rateCount
-	b.Uvarint(0)  // no intervals
-	if _, err := DecodeComputerSnapshot(b.Bytes(), m); !errors.As(err, &ce) {
-		t.Fatalf("empty accumulator: err = %v, want CorruptError", err)
+	b.Varint(0)                   // totalDur
+	b.Uvarint(1)                  // one accumulator
+	b.Uvarint(0)                  // sym
+	b.Uvarint(uint64(events))     // events
+	b.Varint(0)                   // totalDur
+	b.Varint(0)                   // bytes
+	b.Bool(false)                 // hasBytes
+	b.U64(0)                      // rate.hi
+	b.U64(0)                      // rate.lo
+	b.Uvarint(0)                  // rateCount
+	b.Uvarint(uint64(len(spans))) // nSpans
+	for _, sp := range spans {
+		b.Varint(sp[0]) // start
+		b.Varint(sp[1]) // end - start
+	}
+	return b.Bytes()
+}
+
+// The version 3 layout, pinned byte for byte: a hand-built section
+// decodes to the spans it lists — a zero-duration span and a longer
+// one sharing its start, so max-concurrency is 1 — and re-encodes to
+// the same bytes. Lengths wrap like int64 arithmetic, so even a hostile
+// start/length pair whose end overflows re-encodes to itself.
+func TestComputerSnapshotLayout(t *testing.T) {
+	m := callMapping()
+	for _, tc := range []struct {
+		name  string
+		spans [][2]int64
+		want  int
+	}{
+		{"zero-duration tie", [][2]int64{{5, 0}, {5, 3}}, 1},
+		{"touching", [][2]int64{{0, 5}, {5, 5}, {2, 3}}, 2},
+		{"end overflows", [][2]int64{{math.MaxInt64 - 1, 4}}, 1},
+	} {
+		enc := statsSection(len(tc.spans), tc.spans)
+		c, err := DecodeComputerSnapshot(enc, m)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, sp := range c.accs[0].intervals {
+			if want := (span{time.Duration(tc.spans[i][0]), time.Duration(tc.spans[i][0] + tc.spans[i][1])}); sp != want {
+				t.Errorf("%s: span %d = %v, want %v", tc.name, i, sp, want)
+			}
+		}
+		if re := c.EncodeSnapshot(); !bytes.Equal(re, enc) {
+			t.Errorf("%s: re-encode differs:\n got % x\nwant % x", tc.name, re, enc)
+		}
+		if got := c.Finalize().Get("act").MaxConc; got != tc.want {
+			t.Errorf("%s: MaxConc = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

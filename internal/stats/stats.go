@@ -127,11 +127,25 @@ func eventRate(size int64, dur time.Duration) rateSum {
 	return rateSum{hi: qhi, lo: qlo}
 }
 
+// span is an event's (start, end) pair: all that the max-concurrency
+// sweep of Equation 16 reads of an interval. It holds no pointers and
+// no case identity, so the per-event interval store costs 16 bytes the
+// garbage collector never scans.
+type span struct{ start, end time.Duration }
+
+// less orders spans by start, then end. Spans equal under it are
+// identical pairs and so interchangeable in the sweep, which makes the
+// sweep's result a pure function of the span multiset.
+func (a span) less(b span) bool {
+	return a.start < b.start || a.start == b.start && a.end < b.end
+}
+
 // accum carries one activity's running state: the integral aggregates
 // (counts, durations, byte totals, the 128-bit rate sum of Equation 13)
-// and the interval set behind the max-concurrency sweep (Equation 16
-// needs every interval; this is the one statistic whose working set
-// grows with the activity's events rather than the batch).
+// and the span set behind the max-concurrency sweep (Equation 16 needs
+// every interval; this is the one statistic whose working set grows
+// with the activity's events rather than the batch — 16 bytes per
+// mapped event until Finalize).
 type accum struct {
 	events    int
 	totalDur  time.Duration
@@ -139,12 +153,12 @@ type accum struct {
 	hasBytes  bool
 	rate      rateSum
 	rateCount int64
-	intervals []trace.Interval
+	intervals []span
 }
 
 // merge folds another partial accumulation in. Every operation is
-// exact: integer sums, a boolean or, and an interval concatenation
-// whose order is irrelevant (Finalize's sweep sorts totally).
+// exact: integer sums, a boolean or, and a span concatenation whose
+// order is irrelevant (Finalize's sweep sorts totally).
 func (a *accum) merge(o *accum) {
 	a.events += o.events
 	a.totalDur += o.totalDur
@@ -218,13 +232,13 @@ func (c *Computer) AddMapped(cs *trace.Case, syms []intern.Sym) {
 				ac.rateCount++
 			}
 		}
-		ac.intervals = append(ac.intervals, e.Interval())
+		ac.intervals = append(ac.intervals, span{e.Start, e.Start + e.Dur})
 	}
 }
 
 // Merge folds another computer's partial state into c, exactly: counts,
 // durations and byte totals are integer sums, the data-rate numerators
-// are 128-bit integer sums, and the interval sets concatenate (their
+// are 128-bit integer sums, and the span sets concatenate (their
 // order is irrelevant — Finalize's sweep sorts them totally). o's
 // shard-local activity symbols are remapped through c's table, so
 // merging shard partials in any order reproduces the sequential fold
@@ -275,13 +289,14 @@ func Merge(parts ...*Computer) *Stats {
 // Finalize runs the per-activity aggregation (mean rate, max-concurrency
 // sweep, relative-duration normalization), materializes the
 // string-keyed statistics and returns them. The computer must not be
-// used afterwards.
+// used afterwards: the sweep sorts its span sets in place.
 func (c *Computer) Finalize() *Stats {
 	s := &Stats{
 		byActivity: make(map[pm.Activity]*ActivityStats, len(c.accs)),
 		TotalDur:   c.totalDur,
 	}
 	acts := c.sm.Acts()
+	var scratch []span
 	for y := range c.accs {
 		ac := &c.accs[y]
 		if ac.events == 0 {
@@ -297,7 +312,7 @@ func (c *Computer) Finalize() *Stats {
 		if ac.rateCount > 0 {
 			st.ProcRate = ac.rate.float64() / float64(ac.rateCount)
 		}
-		st.MaxConc = MaxConcurrency(ac.intervals)
+		st.MaxConc = maxConcurrency(ac.intervals, &scratch)
 		if c.totalDur > 0 {
 			st.RelDur = float64(st.TotalDur) / float64(c.totalDur)
 		}
@@ -311,33 +326,104 @@ func (c *Computer) Finalize() *Stats {
 // and report the peak number of simultaneously open intervals. An
 // interval must strictly overlap (end > start) to count as concurrent,
 // matching the paper's "end time of the first event is greater than the
-// start time of the last event". O(k log k).
+// start time of the last event". O(k log k). The input is not modified.
 //
-// The sort uses the total interval order (start, then end, then case),
-// so the result is a pure function of the interval multiset: equal-start
-// ties — where a zero-duration interval processed after a longer
-// same-start one would otherwise inflate the count — always resolve the
-// same way, whatever order the intervals were collected in. This is
-// what lets sharded statistics concatenate interval sets in shard order
-// and still reproduce the sequential sweep exactly.
+// Case identities play no part: the intervals are projected to (start,
+// end) pairs and swept exactly as Finalize sweeps an activity's events.
 func MaxConcurrency(intervals []trace.Interval) int {
-	if len(intervals) == 0 {
-		return 0
+	spans := make([]span, len(intervals))
+	for i, iv := range intervals {
+		spans[i] = span{iv.Start, iv.End}
 	}
-	ivs := append([]trace.Interval(nil), intervals...)
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Less(ivs[j]) })
+	return maxConcurrency(spans, new([]span))
+}
+
+// maxConcurrency is the Equation (16) sweep over spans, which it sorts
+// in place (scratch is the sort's reusable merge buffer). The sort uses
+// the total order of span.less, so the result is a pure function of the
+// span multiset: equal-start ties — where a zero-duration interval
+// processed after a longer same-start one would otherwise inflate the
+// count — always resolve the same way, whatever order the spans were
+// collected in. This is what lets sharded statistics concatenate span
+// sets in shard order and still reproduce the sequential sweep exactly.
+func maxConcurrency(spans []span, scratch *[]span) int {
+	sortSpans(spans, scratch)
 	ends := make(endHeap, 0, 16)
 	maxOpen := 0
-	for _, iv := range ivs {
-		for len(ends) > 0 && ends[0] <= iv.Start {
+	for _, sp := range spans {
+		for len(ends) > 0 && ends[0] <= sp.start {
 			ends.pop()
 		}
-		ends.push(iv.End)
+		ends.push(sp.end)
 		if len(ends) > maxOpen {
 			maxOpen = len(ends)
 		}
 	}
 	return maxOpen
+}
+
+// sortSpans sorts spans in place by span.less with a bottom-up merge of
+// natural runs. A case's events arrive in start order, so an activity's
+// span set is a concatenation of already-sorted per-case runs, and
+// merging r runs costs O(k log r) instead of a comparison sort's
+// O(k log k); on arbitrary input it degrades to an ordinary merge sort.
+// scratch is grown to len(spans) when a merge is needed and kept for
+// the caller's next call.
+func sortSpans(spans []span, scratch *[]span) {
+	n := len(spans)
+	if runEnd(spans, 0) == n {
+		return
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]span, n)
+	}
+	src, dst := spans, (*scratch)[:n]
+	for {
+		runs := 0
+		for lo := 0; lo < n; runs++ {
+			mid := runEnd(src, lo)
+			hi := runEnd(src, mid)
+			mergeSpans(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+		src, dst = dst, src
+		if runs == 1 {
+			break
+		}
+	}
+	if &src[0] != &spans[0] {
+		copy(spans, src)
+	}
+}
+
+// runEnd returns the end of the sorted run of s starting at lo.
+func runEnd(s []span, lo int) int {
+	if lo == len(s) {
+		return lo
+	}
+	i := lo + 1
+	for i < len(s) && !s[i].less(s[i-1]) {
+		i++
+	}
+	return i
+}
+
+// mergeSpans merges the sorted runs a and b into dst, which has room
+// for both.
+func mergeSpans(dst, a, b []span) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].less(a[0]) {
+			dst[k] = b[0]
+			b = b[1:]
+		} else {
+			dst[k] = a[0]
+			a = a[1:]
+		}
+		k++
+	}
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
 // endHeap is a hand-rolled min-heap of end timestamps. container/heap

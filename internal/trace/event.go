@@ -102,9 +102,9 @@ func (iv Interval) Overlaps(o Interval) bool {
 
 // Less is the canonical total order on intervals: by start, then end,
 // then case identity. Sorting with it makes interval-set algorithms
-// (the max-concurrency sweep, say) independent of the order in which
-// the intervals were collected — equal-start ties, including
-// zero-duration intervals, always resolve the same way.
+// independent of the order in which the intervals were collected —
+// equal-start ties, including zero-duration intervals, always resolve
+// the same way.
 func (iv Interval) Less(o Interval) bool {
 	if iv.Start != o.Start {
 		return iv.Start < o.Start
